@@ -158,19 +158,19 @@ def kernel_matrix(
         points_b = _check_points(points_b, kernel.dim, "points_b")
         same = points_a.shape == points_b.shape and np.array_equal(points_a, points_b)
     if same:
-        dist = cdist(points_a, points_a)
-        off = dist + np.diag(np.full(len(points_a), np.inf))
+        off = cdist(points_a, points_a)
+        np.fill_diagonal(off, np.inf)
         if len(points_a) > 1 and off.min() < COINCIDENCE_TOL:
             i, j = np.unravel_index(np.argmin(off), off.shape)
             raise KernelDomainError(
                 f"nodes {i} and {j} coincide within {COINCIDENCE_TOL:g} "
                 f"(distance {off[i, j]:.3e})"
             )
-        mat = off ** kernel.exponent
         if spacings is None:
             spacings_arr = off.min(axis=1) if len(points_a) > 1 else np.full(1, np.inf)
         else:
             spacings_arr = np.asarray(spacings, dtype=float)
+        mat = np.power(off, kernel.exponent, out=off)
         np.fill_diagonal(mat, policy.diagonal(kernel, spacings_arr))
         return mat
     dist = cdist(points_a, points_b)

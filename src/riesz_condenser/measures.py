@@ -345,9 +345,9 @@ def condenser_matrix(
                 block = kernel_matrix(kernel, pi.points, policy=policy, spacings=pi.spacings)
             else:
                 block = _cross_block(kernel, pi, pj, policy)
-            mat[slices[i], slices[j]] = s * block
+            np.multiply(s, block, out=mat[slices[i], slices[j]])
             if j != i:
-                mat[slices[j], slices[i]] = s * block.T
+                np.multiply(s, block.T, out=mat[slices[j], slices[i]])
     return mat
 
 
@@ -489,8 +489,12 @@ def semimetric(
     """
     mu.validate_for(cond)
     nu.validate_for(cond)
-    diff = mu.stacked() - nu.stacked()
-    mat = condenser_matrix(cond, kernel, policy)
+    return _energy_distance(condenser_matrix(cond, kernel, policy), mu.stacked() - nu.stacked())
+
+
+def _energy_distance(mat: NDArray, diff: NDArray) -> float:
+    """Square root of diff . mat . diff; raises EnergyDegeneracyError when
+    the square is negative beyond the rounding slack of the form."""
     val = float(diff @ mat @ diff)
     ad = np.abs(diff)
     scale = float(ad @ np.abs(mat) @ ad)

@@ -9,6 +9,7 @@ no larger than the previous one.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,11 @@ class SolveOptions:
 
     Convergence is declared when the projected gradient residual falls
     under grad_tol relative to the gradient scale. Rounding inside the
-    mass projection puts a floor near 1e-8 on reachable residuals, so
-    tolerances below that tend to exhaust max_iters instead.
+    mass projection floors the reachable residual near 1e-7 of the
+    gradient scale (measured), so the default grad_tol sits on that floor:
+    some inputs stall there and run to max_iters, and smaller tolerances
+    nearly always do. An exact projection and a stall stop are an open
+    item of ROADMAP.md.
     """
 
     max_iters: int = 2000
@@ -73,7 +77,6 @@ class SolveOptions:
     step_rule: str = "armijo"
     restart_count: int = 1
     seed: int = 0
-    record_iterates: bool = False
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -99,7 +102,6 @@ class SolveReport:
     min_cross_sign_distance: float
     trace: NDArray
     message: str = ""
-    iterates: list[NDArray] | None = None
 
 
 @dataclass(eq=False)
@@ -262,48 +264,23 @@ def _objective_pieces(mat: NDArray, lin: NDArray, w: NDArray) -> tuple[float, ND
 def _descend(
     mat: NDArray,
     lin: NDArray,
-    slices: list[slice],
-    caps: list[NDArray],
-    gauges: list[NDArray],
-    targets: NDArray,
+    project: Callable[[NDArray], NDArray],
     w0: NDArray,
     options: SolveOptions,
-    watch: list[tuple[int, int, int, int, float]] | None = None,
+    watch: Callable[[NDArray], None] | None = None,
 ):
-    """Monotone accelerated projected gradient descent on one start point."""
+    """Monotone accelerated projected gradient descent on one start point.
+
+    ``project`` maps a vector onto the feasible set; ``watch``, when given,
+    sees every accepted iterate and may raise to abort the descent.
+    """
     lip = 2.0 * float(np.abs(mat).sum(axis=1).max()) or 1.0
     base = 1.0 / lip
-
-    def project(v: NDArray) -> NDArray:
-        out = np.empty_like(v)
-        for sl, c, g, a in zip(slices, caps, gauges, targets):
-            out[sl] = project_capped_simplex(v[sl], c, g, a)
-        return out
-
-    def check_watch(w: NDArray) -> None:
-        if not watch:
-            return
-        for p, q, i, j, dist in watch:
-            if (
-                w[p] * gauge_flat[p] >= 0.45 * targets[i]
-                and w[q] * gauge_flat[q] >= 0.45 * targets[j]
-            ):
-                raise ShortCircuitError(
-                    f"about half of the mass of plates {i} and {j} sits on an "
-                    f"opposite-sign node pair {dist:.3e} apart; the energy is "
-                    "unbounded below at this geometry, refine the gap or the "
-                    "node budget",
-                    distance=dist,
-                )
-
-    gauge_flat = np.concatenate(gauges)
     x = project(np.asarray(w0, dtype=float))
     fx, gx = _objective_pieces(mat, lin, x)
-    x_prev, f_prev = x, fx
     y, ty = x, 1.0
     step = base if options.step_rule == "lipschitz" else 2.5 * base
     trace = [fx]
-    iterates = [x.copy()] if options.record_iterates else None
     converged = False
     iters_done = 0
     for k in range(1, options.max_iters + 1):
@@ -343,14 +320,13 @@ def _descend(
             if options.step_rule == "armijo":
                 step = 2.5 * base
         trace.append(fx)
-        if iterates is not None:
-            iterates.append(x.copy())
-        check_watch(x)
+        if watch is not None:
+            watch(x)
         residual = float(np.max(np.abs(x - project(x - base * gx)))) / base
         if residual <= options.grad_tol * max(1.0, float(np.max(np.abs(gx)))):
             converged = True
             break
-    return x, fx, gx, np.asarray(trace), iters_done, converged, iterates
+    return x, fx, np.asarray(trace), iters_done, converged
 
 
 def _find_watch_pairs(cond: Condenser) -> list[tuple[int, int, int, int, float]]:
@@ -371,18 +347,32 @@ def _find_watch_pairs(cond: Condenser) -> list[tuple[int, int, int, int, float]]
     return pairs
 
 
-def _solve(
-    cond: Condenser,
-    problem: ProblemSpec,
-    kernel: RieszKernel,
-    policy: DiagonalPolicy,
-    options: SolveOptions,
-) -> SolveReport:
-    targets, caps, gauges = problem.materialize(cond)
+@dataclass(eq=False)
+class _Assembly:
+    """The parts of a solve fixed by its condenser, kernel, policy and
+    field, shared by every problem that differs only in targets, caps or
+    gauges. ``lin_raw`` is +inf on the nodes the field excludes."""
+
+    cond: Condenser
+    mat: NDArray
+    lin_raw: NDArray
+    watch_pairs: list[tuple[int, int, int, int, float]]
+
+
+def _assemble(
+    cond: Condenser, problem: ProblemSpec, kernel: RieszKernel, policy: DiagonalPolicy
+) -> _Assembly:
     fvals = field_values(cond, problem.field, kernel, policy)
+    lin_raw = np.zeros(cond.total_nodes) if fvals is None else np.concatenate(fvals)
+    return _Assembly(
+        cond, condenser_matrix(cond, kernel, policy), lin_raw, _find_watch_pairs(cond)
+    )
+
+
+def _solve(asm: _Assembly, problem: ProblemSpec, options: SolveOptions) -> SolveReport:
+    cond, mat, lin_raw = asm.cond, asm.mat, asm.lin_raw
+    targets, caps, gauges = problem.materialize(cond)
     slices = cond.node_slices()
-    n = cond.total_nodes
-    lin_raw = np.zeros(n) if fvals is None else np.concatenate(fvals)
     # Nodes with an infinite field can never carry mass; cap them to zero
     # and drop the infinity from the arithmetic.
     blocked = np.isinf(lin_raw)
@@ -398,8 +388,30 @@ def _solve(
                 deficit=targets[i] - room,
             )
     lin = np.where(blocked, 0.0, lin_raw)
-    mat = condenser_matrix(cond, kernel, policy)
-    watch = _find_watch_pairs(cond)
+
+    def project(v: NDArray) -> NDArray:
+        out = np.empty_like(v)
+        for sl, c, g, a in zip(slices, caps, gauges, targets):
+            out[sl] = project_capped_simplex(v[sl], c, g, a)
+        return out
+
+    watch = None
+    if asm.watch_pairs:
+        gauge_flat = np.concatenate(gauges)
+
+        def watch(w: NDArray) -> None:
+            for p, q, i, j, dist in asm.watch_pairs:
+                if (
+                    w[p] * gauge_flat[p] >= 0.45 * targets[i]
+                    and w[q] * gauge_flat[q] >= 0.45 * targets[j]
+                ):
+                    raise ShortCircuitError(
+                        f"about half of the mass of plates {i} and {j} sits on an "
+                        f"opposite-sign node pair {dist:.3e} apart; the energy is "
+                        "unbounded below at this geometry, refine the gap or the "
+                        "node budget",
+                        distance=dist,
+                    )
 
     w0 = np.concatenate(
         [np.full(len(p), a / float(g.sum())) for p, a, g in zip(cond.plates, targets, gauges)]
@@ -417,13 +429,11 @@ def _solve(
                 d *= a / float(g @ d)
                 parts.append(0.5 * w0[sl] + 0.5 * d)
             start = np.concatenate(parts)
-        x, fx, gx, trace, iters, conv, iterates = _descend(
-            mat, lin, slices, caps, gauges, targets, start, options, watch
-        )
+        x, fx, trace, iters, conv = _descend(mat, lin, project, start, options, watch)
         total_iters += iters
         if best is None or fx < best[1]:
-            best = (x, fx, gx, trace, conv, iterates)
-    x, fx, gx, trace, conv, iterates = best
+            best = (x, fx, trace, conv)
+    x, fx, trace, conv = best
 
     w_pot = mat @ x + lin_raw
     levels, viol = [], 0.0
@@ -449,7 +459,6 @@ def _solve(
         min_cross_sign_distance=cond.min_cross_sign_distance,
         trace=trace,
         message=message,
-        iterates=iterates,
     )
 
 
@@ -463,7 +472,9 @@ def solve_constrained(
     """Minimize the condenser energy under caps and gauge mass constraints."""
     if policy is None:
         policy = DiagonalPolicy.nearest_neighbor()
-    return _solve(cond, problem, kernel, policy, options or SolveOptions())
+    return _solve(
+        _assemble(cond, problem, kernel, policy), problem, options or SolveOptions()
+    )
 
 
 def solve_unconstrained(
@@ -478,7 +489,9 @@ def solve_unconstrained(
         raise ValueError("unconstrained solves take a problem without caps")
     if policy is None:
         policy = DiagonalPolicy.nearest_neighbor()
-    return _solve(cond, problem, kernel, policy, options or SolveOptions())
+    return _solve(
+        _assemble(cond, problem, kernel, policy), problem, options or SolveOptions()
+    )
 
 
 def capacity(
@@ -534,50 +547,9 @@ def balayage(
         raise KernelDomainError(
             "the source charges a target node; remove that mass before sweeping"
         )
-    lip = 2.0 * float(np.abs(mat).sum(axis=1).max()) or 1.0
-    base = 1.0 / lip
-    v = np.zeros(len(tgt))
-    fv, gv = _objective_pieces(mat, -p, v)
-    y, ty = v, 1.0
-    step = base if options.step_rule == "lipschitz" else 2.5 * base
-    converged = False
-    iters_done = 0
-    for k in range(1, options.max_iters + 1):
-        iters_done = k
-        if np.array_equal(y, v):
-            fy, gy = fv, gv
-        else:
-            fy, gy = _objective_pieces(mat, -p, y)
-        s = step
-        for _ in range(80):
-            z = np.maximum(y - s * gy, 0.0)
-            dz = z - y
-            fz, gz = _objective_pieces(mat, -p, z)
-            slack = 1e-12 * (abs(fy) + abs(fz))
-            if fz <= fy + float(gy @ dz) + float(dz @ dz) / (2.0 * s) + slack:
-                break
-            s *= 0.5
-        if options.step_rule == "armijo":
-            step = min(s * 1.2, 50.0 * base)
-        v_prev = v
-        if fz <= fv:
-            v, fv, gv = z, fz, gz
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * ty * ty))
-            y = v + (ty / t_next) * (z - v) + ((ty - 1.0) / t_next) * (v - v_prev)
-            ty = t_next
-        else:
-            ty = 1.0
-            z2 = np.maximum(v - base * gv, 0.0)
-            f2, g2 = _objective_pieces(mat, -p, z2)
-            if f2 <= fv:
-                v, fv, gv = z2, f2, g2
-            y = v
-            if options.step_rule == "armijo":
-                step = 2.5 * base
-        residual = float(np.max(np.abs(v - np.maximum(v - base * gv, 0.0)))) / base
-        if residual <= options.grad_tol * max(1.0, float(np.max(np.abs(gv)))):
-            converged = True
-            break
+    v, fv, _, iters_done, converged = _descend(
+        mat, -p, lambda u: np.maximum(u, 0.0), np.zeros(len(tgt)), options
+    )
     eps = 1e-12 * max(1.0, float(np.abs(source.weights).sum())) / len(tgt)
     fit = mat @ v - p
     on = v > eps

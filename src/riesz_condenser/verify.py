@@ -22,13 +22,15 @@ from .measures import (
     DiscreteVectorMeasure,
     GridField,
     ProblemSpec,
+    _energy_distance,
+    condenser_matrix,
     gauss_energy,
-    semimetric,
-    vector_energy,
     weighted_potentials,
 )
 from .solver import (
     SolveOptions,
+    _assemble,
+    _solve,
     plate_kkt_violation,
     plate_multiplier,
     project_capped_simplex,
@@ -165,9 +167,13 @@ def uniqueness_check(
     """Decide whether two candidate minimizers agree in energy distance."""
     if policy is None:
         policy = DiagonalPolicy.nearest_neighbor()
-    dist = semimetric(cond, mu, nu, kernel, policy)
-    e1 = vector_energy(cond, mu, kernel, policy)
-    e2 = vector_energy(cond, nu, kernel, policy)
+    mu.validate_for(cond)
+    nu.validate_for(cond)
+    w1, w2 = mu.stacked(), nu.stacked()
+    mat = condenser_matrix(cond, kernel, policy)
+    dist = _energy_distance(mat, w1 - w2)
+    e1 = float(w1 @ mat @ w1)
+    e2 = float(w2 @ mat @ w2)
     scale = max(1.0, np.sqrt(abs(e1)), np.sqrt(abs(e2)))
     return UniquenessReport(passed=bool(dist <= tol * scale), distance=dist, scale=scale)
 
@@ -263,6 +269,10 @@ def continuity_check(
     if mode == "caps":
         if problem.caps is None:
             raise ValueError("caps mode needs a problem with caps")
+        # The chain changes only the caps, so every level and the limit
+        # share one assembled matrix.
+        options = options or SolveOptions()
+        asm = _assemble(cond, problem, kernel, policy)
         for ell in range(1, levels + 1):
             factor = 1.0 + 2.0 ** (-ell)
             caps_ell = tuple(
@@ -275,13 +285,12 @@ def continuity_check(
                 gauges=problem.gauges,
                 field=problem.field,
             )
-            rep = solve_constrained(cond, prob_ell, kernel, policy, options)
+            rep = _solve(asm, prob_ell, options)
             values.append(rep.energy)
-            minimizers.append(rep.minimizer)
-        limit_rep = solve_constrained(cond, problem, kernel, policy, options)
+            minimizers.append(rep.minimizer.stacked())
+        limit_rep = _solve(asm, problem, options)
         distances = tuple(
-            semimetric(cond, a, b, kernel, policy)
-            for a, b in zip(minimizers, minimizers[1:])
+            _energy_distance(asm.mat, a - b) for a, b in zip(minimizers, minimizers[1:])
         )
     elif mode == "nodes":
         if extra_nodes is None or len(extra_nodes) != len(cond):

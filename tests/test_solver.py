@@ -75,19 +75,6 @@ def test_lipschitz_step_rule_converges():
     assert report.energy == pytest.approx(1.0, rel=0.1)
 
 
-def test_record_iterates():
-    cond = Condenser([Plate(sample_sphere((0.0, 0.0, 0.0), 1.0, 50, 1), 1)])
-    report = solve_unconstrained(
-        cond,
-        ProblemSpec(targets=(1.0,)),
-        K23,
-        options=SolveOptions(record_iterates=True),
-    )
-    assert report.iterates is not None
-    assert len(report.iterates) == len(report.trace)
-    assert float(report.iterates[0].sum()) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_unconverged_report_carries_message():
     cond = Condenser([Plate(sample_sphere((0.0, 0.0, 0.0), 1.0, 100, 1), 1)])
     report = solve_unconstrained(

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,25 @@ from riesz_condenser import (
 
 K23 = RieszKernel(2.0, 3)
 ORIGIN = (0.0, 0.0, 0.0)
+
+
+def count_assemblies(monkeypatch):
+    """Count condenser_matrix calls made through any package module."""
+    from riesz_condenser import measures
+
+    original = measures.condenser_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "riesz_condenser" or name.startswith("riesz_condenser."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +100,14 @@ def test_uniqueness_check(small_solved):
     assert not other.passed
 
 
+def test_uniqueness_check_assembles_once(small_solved, monkeypatch):
+    cond, _, report = small_solved
+    bad = DiscreteVectorMeasure((spike(report.minimizer.weights[0], 0.2),))
+    calls = count_assemblies(monkeypatch)
+    uniqueness_check(cond, report.minimizer, bad, K23, tol=1e-6)
+    assert len(calls) == 1
+
+
 def test_duality_check_on_sphere():
     points = sample_sphere(ORIGIN, 1.0, 200, 5)
     sigma = np.full(200, 2.0 / 200)
@@ -111,6 +140,14 @@ def test_continuity_check_caps_mode():
     assert len(report.values) == 3
     assert len(report.distances) == 2
     assert report.final_gap <= 0.05
+
+
+def test_continuity_check_caps_mode_assembles_once(monkeypatch):
+    cond = Condenser([Plate(sample_sphere(ORIGIN, 1.0, 120, 2), 1)])
+    problem = ProblemSpec(targets=(1.0,), caps=(np.full(120, 1.05 / 120),))
+    calls = count_assemblies(monkeypatch)
+    continuity_check(cond, problem, K23, levels=3)
+    assert len(calls) == 1
 
 
 def test_continuity_check_nodes_mode():
