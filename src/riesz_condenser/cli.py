@@ -134,6 +134,7 @@ def _cmd_solve(args) -> int:
     _, caps, _ = problem.materialize(cond)
     print(f"energy {report.energy!r}")
     print(f"converged {report.converged} after {report.iterations} iterations")
+    print(f"stop_reason {report.stop_reason}")
     print(f"kkt_max_violation {report.kkt_max_violation:.6e}")
     if np.isfinite(report.min_cross_sign_distance):
         print(f"min_cross_sign_distance {report.min_cross_sign_distance:.6e}")
@@ -230,6 +231,7 @@ def _cmd_balayage(args) -> int:
     print(f"support_residual {result.support_residual:.6e}")
     print(f"complement_slack {result.complement_slack:.6e}")
     print(f"converged {result.converged} after {result.iterations} iterations")
+    print(f"stop_reason {result.stop_reason}")
     if args.out:
         data = np.column_stack([result.swept.points, result.swept.weights])
         np.savetxt(args.out, data, fmt="%.17g")

@@ -334,6 +334,10 @@ def condenser_matrix(
         raise KernelDomainError(
             f"condenser lives in R^{cond.dim}, kernel in R^{kernel.dim}"
         )
+    if len(cond) == 1:
+        # The sign squared is 1: the kernel block is the matrix itself.
+        pi = cond.plates[0]
+        return kernel_matrix(kernel, pi.points, policy=policy, spacings=pi.spacings)
     slices = cond.node_slices()
     n = cond.total_nodes
     mat = np.empty((n, n))
@@ -492,12 +496,24 @@ def semimetric(
     return _energy_distance(condenser_matrix(cond, kernel, policy), mu.stacked() - nu.stacked())
 
 
+#: Rows of |mat| taken at a time, so that no pass over |mat| allocates a
+#: second N x N array.
+_ROW_BLOCK = 256
+
+
+def _abs_row_blocks(mat: NDArray):
+    """Yield (row slice, |mat[row slice]|) over consecutive row blocks."""
+    for i in range(0, len(mat), _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        yield rows, np.abs(mat[rows])
+
+
 def _energy_distance(mat: NDArray, diff: NDArray) -> float:
     """Square root of diff . mat . diff; raises EnergyDegeneracyError when
     the square is negative beyond the rounding slack of the form."""
     val = float(diff @ mat @ diff)
     ad = np.abs(diff)
-    scale = float(ad @ np.abs(mat) @ ad)
+    scale = sum(float(ad[rows] @ block @ ad) for rows, block in _abs_row_blocks(mat))
     if val < -1e-10 * max(1.0, scale):
         raise EnergyDegeneracyError(
             f"squared energy distance {val:.6e} is negative beyond slack "

@@ -23,6 +23,7 @@ from .measures import (
     DiscreteVectorMeasure,
     ProblemSpec,
     SignedDiscreteMeasure,
+    _abs_row_blocks,
     condenser_matrix,
     field_values,
     potential,
@@ -64,12 +65,13 @@ class SolveOptions:
     """Iteration controls shared by all solvers.
 
     Convergence is declared when the projected gradient residual falls
-    under grad_tol relative to the gradient scale. Rounding inside the
-    mass projection floors the reachable residual near 1e-7 of the
-    gradient scale (measured), so the default grad_tol sits on that floor:
-    some inputs stall there and run to max_iters, and smaller tolerances
-    nearly always do. An exact projection and a stall stop are an open
-    item of ROADMAP.md.
+    under grad_tol relative to the gradient scale. The reachable residual
+    floors near 1e-7 of the gradient scale (measured): the monotone test
+    fz <= fx rejects steps whose gain is below the rounding of the
+    objective. So the default grad_tol sits on that floor, some inputs
+    stall there and smaller tolerances nearly always do. A stall stops the
+    solve at once with stop_reason "stalled" and converged False; it does
+    not run on to max_iters.
     """
 
     max_iters: int = 2000
@@ -91,7 +93,13 @@ class SolveOptions:
 
 @dataclass(eq=False)
 class SolveReport:
-    """Outcome of a constrained or unconstrained solve."""
+    """Outcome of a constrained or unconstrained solve.
+
+    ``stop_reason`` says why the descent stopped: "converged" (the residual
+    met grad_tol), "stalled" (an iteration left every quantity of the loop
+    as it found it, so no further iteration could change anything) or
+    "max_iters". Only "converged" sets ``converged``.
+    """
 
     minimizer: DiscreteVectorMeasure
     energy: float
@@ -99,6 +107,7 @@ class SolveReport:
     kkt_max_violation: float
     iterations: int
     converged: bool
+    stop_reason: str
     min_cross_sign_distance: float
     trace: NDArray
     message: str = ""
@@ -118,7 +127,7 @@ class BalayageResult:
     ``support_residual`` is the largest mismatch between the swept and
     source potentials on charged target nodes; ``complement_slack`` is the
     most negative excess on uncharged ones (nonnegative up to tolerance at
-    an exact solution).
+    an exact solution). ``stop_reason`` is as in SolveReport.
     """
 
     swept: DiscreteMeasure
@@ -127,6 +136,7 @@ class BalayageResult:
     complement_slack: float
     iterations: int
     converged: bool
+    stop_reason: str
 
 
 def project_capped_simplex(
@@ -261,6 +271,21 @@ def _objective_pieces(mat: NDArray, lin: NDArray, w: NDArray) -> tuple[float, ND
     return float(w @ mv + 2.0 * (lin @ w)), 2.0 * (mv + lin)
 
 
+@dataclass(eq=False)
+class _Descent:
+    """Where one descent stopped and why: ``stop_reason`` is "converged",
+    "stalled" or "max_iters"; ``residual`` is the last projected-gradient
+    residual and ``bar`` the grad_tol bar it was tested against."""
+
+    x: NDArray
+    energy: float
+    trace: NDArray
+    iterations: int
+    stop_reason: str
+    residual: float
+    bar: float
+
+
 def _descend(
     mat: NDArray,
     lin: NDArray,
@@ -268,27 +293,29 @@ def _descend(
     w0: NDArray,
     options: SolveOptions,
     watch: Callable[[NDArray], None] | None = None,
-):
+) -> _Descent:
     """Monotone accelerated projected gradient descent on one start point.
 
     ``project`` maps a vector onto the feasible set; ``watch``, when given,
     sees every accepted iterate and may raise to abort the descent.
     """
-    lip = 2.0 * float(np.abs(mat).sum(axis=1).max()) or 1.0
+    lip = 2.0 * max(float(b.sum(axis=1).max()) for _, b in _abs_row_blocks(mat)) or 1.0
     base = 1.0 / lip
     x = project(np.asarray(w0, dtype=float))
     fx, gx = _objective_pieces(mat, lin, x)
     y, ty = x, 1.0
     step = base if options.step_rule == "lipschitz" else 2.5 * base
     trace = [fx]
-    converged = False
+    stop_reason = "max_iters"
     iters_done = 0
     for k in range(1, options.max_iters + 1):
         iters_done = k
-        if np.array_equal(y, x):
+        y_at_x = np.array_equal(y, x)
+        if y_at_x:
             fy, gy = fx, gx
         else:
             fy, gy = _objective_pieces(mat, lin, y)
+        at_rest, step_in = y_at_x and ty == 1.0, step
         s = step
         for _ in range(80):
             z = project(y - s * gy)
@@ -323,10 +350,18 @@ def _descend(
         if watch is not None:
             watch(x)
         residual = float(np.max(np.abs(x - project(x - base * gx)))) / base
-        if residual <= options.grad_tol * max(1.0, float(np.max(np.abs(gx)))):
-            converged = True
+        bar = options.grad_tol * max(1.0, float(np.max(np.abs(gx))))
+        if residual <= bar:
+            stop_reason = "converged"
             break
-    return x, fx, np.asarray(trace), iters_done, converged
+        # Began at rest, rejected both candidates (x is still x_prev) and
+        # kept its step: the iteration ends in the state it began in, so
+        # every later one would replay it bit for bit. This is the rounding
+        # floor of the monotone test fz <= fx.
+        if at_rest and x is x_prev and step == step_in:
+            stop_reason = "stalled"
+            break
+    return _Descent(x, fx, np.asarray(trace), iters_done, stop_reason, residual, bar)
 
 
 def _find_watch_pairs(cond: Condenser) -> list[tuple[int, int, int, int, float]]:
@@ -429,11 +464,11 @@ def _solve(asm: _Assembly, problem: ProblemSpec, options: SolveOptions) -> Solve
                 d *= a / float(g @ d)
                 parts.append(0.5 * w0[sl] + 0.5 * d)
             start = np.concatenate(parts)
-        x, fx, trace, iters, conv = _descend(mat, lin, project, start, options, watch)
-        total_iters += iters
-        if best is None or fx < best[1]:
-            best = (x, fx, trace, conv)
-    x, fx, trace, conv = best
+        run = _descend(mat, lin, project, start, options, watch)
+        total_iters += run.iterations
+        if best is None or run.energy < best.energy:
+            best = run
+    x = best.x
 
     w_pot = mat @ x + lin_raw
     levels, viol = [], 0.0
@@ -445,19 +480,27 @@ def _solve(asm: _Assembly, problem: ProblemSpec, options: SolveOptions) -> Solve
             plate_kkt_violation(w_pot[sl], x[sl], caps[i], gauges[i], targets[i], c),
         )
     minimizer = DiscreteVectorMeasure(tuple(x[sl].copy() for sl in slices))
-    message = "" if conv else (
-        f"stopped at max_iters={options.max_iters} before reaching "
-        f"grad_tol={options.grad_tol:g}"
-    )
+    message = ""
+    if best.stop_reason == "stalled":
+        message = (
+            f"stalled after {best.iterations} iterations at residual "
+            f"{best.residual:.3e} > grad_tol*scale = {best.bar:.3e}"
+        )
+    elif best.stop_reason == "max_iters":
+        message = (
+            f"stopped at max_iters={options.max_iters} before reaching "
+            f"grad_tol={options.grad_tol:g}"
+        )
     return SolveReport(
         minimizer=minimizer,
-        energy=fx,
+        energy=best.energy,
         multipliers=tuple(levels),
         kkt_max_violation=viol,
         iterations=total_iters,
-        converged=conv,
+        converged=best.stop_reason == "converged",
+        stop_reason=best.stop_reason,
         min_cross_sign_distance=cond.min_cross_sign_distance,
-        trace=trace,
+        trace=best.trace,
         message=message,
     )
 
@@ -547,9 +590,8 @@ def balayage(
         raise KernelDomainError(
             "the source charges a target node; remove that mass before sweeping"
         )
-    v, fv, _, iters_done, converged = _descend(
-        mat, -p, lambda u: np.maximum(u, 0.0), np.zeros(len(tgt)), options
-    )
+    run = _descend(mat, -p, lambda u: np.maximum(u, 0.0), np.zeros(len(tgt)), options)
+    v = run.x
     eps = 1e-12 * max(1.0, float(np.abs(source.weights).sum())) / len(tgt)
     fit = mat @ v - p
     on = v > eps
@@ -557,9 +599,10 @@ def balayage(
     complement_slack = float(np.min(fit[~on], initial=0.0))
     return BalayageResult(
         swept=DiscreteMeasure(tgt.points, v),
-        objective=fv,
+        objective=run.energy,
         support_residual=support_residual,
         complement_slack=complement_slack,
-        iterations=iters_done,
-        converged=converged,
+        iterations=run.iterations,
+        converged=run.stop_reason == "converged",
+        stop_reason=run.stop_reason,
     )

@@ -151,8 +151,8 @@ def random_instance(rng):
     return kernel, cond, problem
 
 
-def compare_instance(kernel, cond, problem, options=None):
-    """Solver energy and exact enumerated energy for one instance."""
+def oracle_energy(kernel, cond, problem):
+    """Exact enumerated minimum energy of one instance."""
     policy = DiagonalPolicy.nearest_neighbor()
     targets, caps, gauges = problem.materialize(cond)
     mat = condenser_matrix(cond, kernel, policy)
@@ -160,9 +160,17 @@ def compare_instance(kernel, cond, problem, options=None):
     lin = np.zeros(cond.total_nodes) if fv is None else np.concatenate(fv)
     oracle = enumerate_minimum(mat, lin, cond.node_slices(), caps, gauges, targets)
     assert oracle is not None, "enumeration found no feasible first-order point"
+    return oracle[0]
+
+
+def compare_instance(kernel, cond, problem, options=None):
+    """Solver energy and exact enumerated energy for one instance."""
+    oracle_e = oracle_energy(kernel, cond, problem)
     options = options or SolveOptions(max_iters=20000, grad_tol=1e-9)
-    report = solve_constrained(cond, problem, kernel, policy, options)
-    return report.energy, oracle[0]
+    report = solve_constrained(
+        cond, problem, kernel, DiagonalPolicy.nearest_neighbor(), options
+    )
+    return report.energy, oracle_e
 
 
 def run_comparison(count, seed):

@@ -41,6 +41,7 @@ def test_solve_success(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "energy " in out
     assert "converged True" in out
+    assert "stop_reason converged" in out
     assert "plate 0 sign +1" in out
     assert "plate 1 sign -1" in out
 
@@ -70,6 +71,7 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--max-iters", "2"]) == 3
     captured = capsys.readouterr()
     assert "converged False" in captured.out
+    assert "stop_reason max_iters" in captured.out
 
 
 def test_solve_infeasible_exit_code(tmp_path, capsys):
@@ -180,6 +182,7 @@ def test_balayage_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "source_mass 1.0" in out
     assert "swept_mass" in out
+    assert "stop_reason converged" in out
     data = np.loadtxt(out_file)
     assert data.shape == (150, 4)
     assert data[:, 3].sum() == pytest.approx(0.5, rel=0.05)
