@@ -193,7 +193,7 @@ def _cmd_capacity(args) -> int:
             if args.center
             else np.zeros(args.dim)
         )
-        pts = sample_sphere(center, args.radius, args.nodes, args.seed or 42)
+        pts = sample_sphere(center, args.radius, args.nodes, args.seed)
     options = _options_with_overrides(SolveOptions(), args)
     result = capacity(kernel, pts, policy, options)
     print(f"nodes {len(pts)}")
@@ -223,7 +223,7 @@ def _cmd_balayage(args) -> int:
     center = (
         _parse_point(args.center, "--center") if args.center else np.zeros(args.dim)
     )
-    target = sample_sphere(center, args.radius, args.nodes, args.seed or 42)
+    target = sample_sphere(center, args.radius, args.nodes, args.seed)
     options = _options_with_overrides(SolveOptions(), args)
     result = balayage(kernel, source, target, policy, options)
     print(f"source_mass {source.mass!r}")
@@ -295,7 +295,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--nodes", type=int, default=800)
     _add_kernel_args(sp)
     _add_solve_args(sp)
-    sp.set_defaults(func=_cmd_capacity)
+    sp.set_defaults(func=_cmd_capacity, seed=42)
 
     sp = sub.add_parser("balayage", help="sweep point charges onto a sphere")
     sp.add_argument(
@@ -311,7 +311,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default=None, help="write swept nodes and weights")
     _add_kernel_args(sp)
     _add_solve_args(sp)
-    sp.set_defaults(func=_cmd_balayage)
+    sp.set_defaults(func=_cmd_balayage, seed=42)
 
     sp = sub.add_parser("kelvin", help="invert a weighted point cloud in a sphere")
     sp.add_argument("--in", dest="infile", required=True, help="input cloud file")

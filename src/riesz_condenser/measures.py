@@ -348,20 +348,26 @@ def condenser_matrix(
             if j == i:
                 block = kernel_matrix(kernel, pi.points, policy=policy, spacings=pi.spacings)
             else:
-                block = _cross_block(kernel, pi, pj, policy)
+                block = _cross_block(
+                    kernel, pi.points, pi.spacings, pj.points, pj.spacings, policy
+                )
             np.multiply(s, block, out=mat[slices[i], slices[j]])
             if j != i:
                 np.multiply(s, block.T, out=mat[slices[j], slices[i]])
     return mat
 
 
-def _cross_block(kernel: RieszKernel, pa, pb, policy: DiagonalPolicy) -> NDArray:
-    dist = cdist(pa.points, pb.points)
+def _cross_block(
+    kernel: RieszKernel, points_a, spacings_a, points_b, spacings_b, policy: DiagonalPolicy
+) -> NDArray:
+    """Kernel block between two node sets; a shared node takes the policy
+    value at the smaller of its two spacings."""
+    dist = cdist(points_a, points_b)
     block = np.where(dist > 0.0, dist, 1.0) ** kernel.exponent
     shared = dist < COINCIDENCE_TOL
     if shared.any():
         ii, jj = np.nonzero(shared)
-        spac = np.minimum(pa.spacings[ii], pb.spacings[jj])
+        spac = np.minimum(spacings_a[ii], spacings_b[jj])
         block[ii, jj] = policy.diagonal(kernel, spac)
     return block
 
@@ -394,18 +400,12 @@ def field_values(
         src = field_spec.source
         if src.dim != cond.dim:
             raise ValueError("field source dimension does not match the condenser")
-        src_spac: NDArray | None = None
+        src_spac = _lazy_spacings(src)
         out = []
         for plate in cond.plates:
-            dist = cdist(plate.points, src.points)
-            block = np.where(dist > 0.0, dist, 1.0) ** kernel.exponent
-            shared = dist < COINCIDENCE_TOL
-            if shared.any():
-                if src_spac is None:
-                    src_spac = _lazy_spacings(src)
-                ii, jj = np.nonzero(shared)
-                spac = np.minimum(plate.spacings[ii], src_spac[jj])
-                block[ii, jj] = policy.diagonal(kernel, spac)
+            block = _cross_block(
+                kernel, plate.points, plate.spacings, src.points, src_spac, policy
+            )
             out.append(plate.sign * (block @ src.weights))
         return out
     raise TypeError(f"unknown field type {type(field_spec).__name__}")
@@ -432,11 +432,10 @@ def resultant(cond: Condenser, mu: DiscreteVectorMeasure) -> ResultantMeasure:
         (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
     )
     _, labels = connected_components(adj, directed=False)
-    # Aggregate by group representative, preserving first-occurrence order.
-    rep_of_label = np.full(labels.max() + 1, -1, dtype=int)
-    for idx in range(n - 1, -1, -1):
-        rep_of_label[labels[idx]] = idx
-    reps = rep_of_label[labels]
+    # Aggregate by group representative, preserving first-occurrence order;
+    # the labels are 0..L-1, so ``first[label]`` is that group's first node.
+    _, first = np.unique(labels, return_index=True)
+    reps = first[labels]
     out_w = np.zeros(n)
     out_s = np.full(n, np.inf)
     np.add.at(out_w, reps, w)

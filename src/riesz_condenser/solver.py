@@ -411,6 +411,19 @@ def _assemble(
     )
 
 
+def _plate_levels(
+    asm: _Assembly, x: NDArray, caps: list, gauges: list, targets: NDArray
+) -> tuple[NDArray, list[float], float]:
+    """Weighted potential of ``x``, each plate's level and the worst defect."""
+    w_pot = _symv(asm.mat, x) + asm.lin_raw
+    levels, viol = [], 0.0
+    for sl, c, g, a in zip(asm.cond.node_slices(), caps, gauges, targets):
+        level = plate_multiplier(w_pot[sl], x[sl], c, g, a)
+        levels.append(level)
+        viol = max(viol, plate_kkt_violation(w_pot[sl], x[sl], c, g, a, level))
+    return w_pot, levels, viol
+
+
 def _solve(asm: _Assembly, problem: ProblemSpec, options: SolveOptions) -> SolveReport:
     cond, mat, lin_raw = asm.cond, asm.mat, asm.lin_raw
     targets, caps, gauges = problem.materialize(cond)
@@ -484,15 +497,7 @@ def _solve(asm: _Assembly, problem: ProblemSpec, options: SolveOptions) -> Solve
             best = run
     x = best.x
 
-    w_pot = _symv(mat, x) + lin_raw
-    levels, viol = [], 0.0
-    for i, sl in enumerate(slices):
-        c = plate_multiplier(w_pot[sl], x[sl], caps[i], gauges[i], targets[i])
-        levels.append(c)
-        viol = max(
-            viol,
-            plate_kkt_violation(w_pot[sl], x[sl], caps[i], gauges[i], targets[i], c),
-        )
+    _, levels, viol = _plate_levels(asm, x, caps, gauges, targets)
     minimizer = DiscreteVectorMeasure(tuple(x[sl].copy() for sl in slices))
     message = ""
     if best.stop_reason == "stalled":

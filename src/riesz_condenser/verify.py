@@ -10,32 +10,30 @@ on the support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import Condenser, Plate
-from .kernels import DiagonalPolicy, RieszKernel, kernel_matrix
+from .kernels import DiagonalPolicy, RieszKernel
 from .measures import (
     DiscreteMeasure,
     DiscreteVectorMeasure,
-    GridField,
     ProblemSpec,
     _energy_distance,
     condenser_matrix,
-    gauss_energy,
-    weighted_potentials,
 )
 from .solver import (
     SolveOptions,
     _assemble,
+    _Assembly,
+    _objective_pieces,
+    _plate_levels,
     _solve,
-    plate_kkt_violation,
-    plate_multiplier,
+    _symv,
     project_capped_simplex,
     solve_constrained,
-    solve_unconstrained,
 )
 
 
@@ -98,6 +96,7 @@ def kkt_check(
 ) -> KKTReport:
     """Check the first-order optimality of a feasible vector measure.
 
+    The levels and the defect are computed as the solver computes its own.
     ``probes`` random feasible competitors are drawn per plate mix from
     Dirichlet weights and projected onto the constraint set; each must
     fail to offer a first-order energy decrease beyond -tol * scale.
@@ -105,45 +104,42 @@ def kkt_check(
     if policy is None:
         policy = DiagonalPolicy.nearest_neighbor()
     mu.validate_for(cond)
-    targets, caps, gauges = problem.materialize(cond)
-    w_pots = weighted_potentials(cond, mu, problem, kernel, policy)
-    levels, mass_errors = [], []
-    viol = 0.0
+    asm = _assemble(cond, problem, kernel, policy)
+    return _kkt(asm, problem, mu, tol, probes, seed)
+
+
+def _kkt(
+    asm: _Assembly,
+    problem: ProblemSpec,
+    mu: DiscreteVectorMeasure,
+    tol: float = 1e-2,
+    probes: int = 100,
+    seed: int = 0,
+) -> KKTReport:
+    """``kkt_check`` on an assembled problem, whose field is ``asm.lin_raw``."""
+    targets, caps, gauges = problem.materialize(asm.cond)
+    slices = asm.cond.node_slices()
+    w_pot, levels, viol = _plate_levels(asm, mu.stacked(), caps, gauges, targets)
+    mass_errors = [abs(float(g @ w) - a) for g, w, a in zip(gauges, mu.weights, targets)]
     scale = 1.0
-    for i, plate in enumerate(cond.plates):
-        w = mu.weights[i]
-        mass_errors.append(abs(float(gauges[i] @ w) - targets[i]))
-        c = plate_multiplier(w_pots[i], w, caps[i], gauges[i], targets[i])
-        levels.append(c)
-        viol = max(
-            viol, plate_kkt_violation(w_pots[i], w, caps[i], gauges[i], targets[i], c)
-        )
-        eps = 1e-12 * targets[i] / len(plate)
-        on = w > eps
-        if on.any():
-            finite = np.isfinite(w_pots[i][on])
-            if finite.any():
-                scale = max(scale, float(np.max(np.abs(w_pots[i][on][finite]))))
+    for sl, w, a in zip(slices, mu.weights, targets):
+        pot = np.abs(w_pot[sl][w > 1e-12 * a / len(w)])
+        scale = max(scale, float(np.max(pot[np.isfinite(pot)], initial=0.0)))
     rng = np.random.default_rng(seed)
-    min_gain = np.inf
+    gains = []
     for _ in range(probes):
         gain = 0.0
-        for i, plate in enumerate(cond.plates):
-            d = rng.dirichlet(np.ones(len(plate))) / gauges[i]
+        for i, sl in enumerate(slices):
+            d = rng.dirichlet(np.ones(sl.stop - sl.start)) / gauges[i]
             d *= targets[i] / float(gauges[i] @ d)
             nu = project_capped_simplex(d, caps[i], gauges[i], targets[i])
             with np.errstate(invalid="ignore"):
-                step = w_pots[i] * (nu - mu.weights[i])
+                step = w_pot[sl] * (nu - mu.weights[i])
             gain += 2.0 * float(np.where(nu != mu.weights[i], step, 0.0).sum())
-        min_gain = min(min_gain, gain)
-    if probes == 0:
-        min_gain = 0.0
-    mass_ok = all(
-        err <= 1e-9 * targets[i] for i, err in enumerate(mass_errors)
-    )
-    passed = bool(
-        mass_ok and viol <= tol * scale and min_gain >= -tol * scale
-    )
+        gains.append(gain)
+    min_gain = min(gains, default=0.0)
+    mass_ok = all(err <= 1e-9 * a for err, a in zip(mass_errors, targets))
+    passed = bool(mass_ok and viol <= tol * scale and min_gain >= -tol * scale)
     return KKTReport(
         passed=passed,
         max_violation=viol,
@@ -192,8 +188,9 @@ def duality_check(
     the complement theta = q * (sigma - lambda) of the constrained
     minimizer lambda is checked as a minimizer of the energy under the
     field -q * (potential of sigma), and its energy is compared against an
-    independent direct solve. Exactness requires every node charged by
-    lambda; the report records how far the identity holds.
+    independent direct solve. Both solves and the check share one assembled
+    matrix. Exactness requires every node charged by lambda; the report
+    records how far the identity holds.
     """
     if kernel.alpha > 2.0:
         raise ValueError("the cap complement duality needs alpha <= 2")
@@ -208,23 +205,21 @@ def duality_check(
         raise ValueError(f"sigma must carry mass above 1, got {total:.6g}")
     if policy is None:
         policy = DiagonalPolicy.nearest_neighbor()
-    cond = Condenser([plate])
-    rep = solve_constrained(
-        cond, ProblemSpec(targets=(1.0,), caps=(sigma,)), kernel, policy, options
-    )
-    lam = rep.minimizer.weights[0]
+    primal = ProblemSpec(targets=(1.0,), caps=(sigma,))
+    options = options or SolveOptions()
+    asm = _assemble(Condenser([plate]), primal, kernel, policy)
+    lam = _solve(asm, primal, options).minimizer.weights[0]
     q = 1.0 / (total - 1.0)
-    mat = kernel_matrix(kernel, plate.points, policy=policy, spacings=plate.spacings)
-    f_theta = -q * (mat @ sigma)
+    f_theta = -q * _symv(asm.mat, sigma)
     theta = np.maximum(q * (sigma - lam), 0.0)
     theta_mass = float(theta.sum())
-    dual_problem = ProblemSpec(targets=(theta_mass,), field=GridField((f_theta,)))
-    theta_vm = DiscreteVectorMeasure((theta,))
-    kkt = kkt_check(cond, dual_problem, theta_vm, kernel, policy, tol=tol)
-    direct = solve_unconstrained(cond, dual_problem, kernel, policy, options)
-    g_theta = gauss_energy(cond, theta_vm, dual_problem, kernel, policy)
+    dual = replace(asm, lin_raw=f_theta)
+    dual_problem = ProblemSpec(targets=(theta_mass,))  # its field is dual.lin_raw
+    kkt = _kkt(dual, dual_problem, DiscreteVectorMeasure((theta,)), tol=tol)
+    direct = _solve(dual, dual_problem, options)
+    g_theta, grad = _objective_pieces(asm.mat, f_theta, theta)
     gap = abs(g_theta - direct.energy) / max(1.0, abs(direct.energy))
-    w_theta = mat @ theta + f_theta
+    w_theta = 0.5 * grad
     on = theta > 1e-12 * theta_mass / len(plate)
     spread = float(w_theta[on].max() - w_theta[on].min()) if on.any() else 0.0
     return DualityReport(

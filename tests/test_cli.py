@@ -188,6 +188,23 @@ def test_balayage_output(tmp_path, capsys):
     assert data[:, 3].sum() == pytest.approx(0.5, rel=0.05)
 
 
+def test_seed_zero_is_its_own_sample(tmp_path, capsys):
+    def swept(seed, name):
+        out_file = tmp_path / name
+        args = ["balayage", "--source", "0,0,2", "--nodes", "50", "--seed", seed]
+        assert main([*args, "--out", str(out_file)]) == 0
+        return out_file.read_bytes()
+
+    def capacity_energy(seed):
+        assert main(["capacity", "--nodes", "50", "--seed", seed]) == 0
+        return [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("energy")]
+
+    assert swept("0", "a.txt") == swept("0", "b.txt")
+    assert swept("0", "c.txt") != swept("42", "d.txt")
+    assert capacity_energy("0") == capacity_energy("0")
+    assert capacity_energy("0") != capacity_energy("42")
+
+
 def test_balayage_weighted_sources(capsys):
     code = main(
         [

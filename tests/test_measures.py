@@ -214,6 +214,23 @@ def test_resultant_merges_shared_nodes():
     assert res.mass == pytest.approx(2.0)
 
 
+def test_resultant_merges_a_node_shared_by_three_plates_at_its_first_occurrence():
+    shared = [0.0, 0.0, 0.0]
+    a = Plate(np.array([[5.0, 0.0, 0.0], shared]), -1)
+    b = Plate(np.array([shared, [0.0, 3.0, 0.0]]), -1)
+    c = Plate(np.array([shared, [0.0, 0.0, 1.5]]), -1)
+    cond = Condenser([a, b, c])
+    vm = DiscreteVectorMeasure(
+        (np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.array([0.1, 0.9]))
+    )
+    res = resultant(cond, vm)
+    assert np.array_equal(
+        res.points, [[5.0, 0.0, 0.0], shared, [0.0, 3.0, 0.0], [0.0, 0.0, 1.5]]
+    )
+    assert np.allclose(res.weights, [-0.5, -0.85, -0.75, -0.9], rtol=0, atol=1e-15)
+    assert np.array_equal(res.spacings, [5.0, 1.5, 3.0, 1.5])
+
+
 def test_vector_energy_matches_resultant_energy():
     # Shared node with equal spacings on both plates, so the merged
     # diagonal agrees with the per-plate diagonals and the cross entry.

@@ -3,12 +3,21 @@ import sys
 import numpy as np
 import pytest
 
+from oracle_utils import random_instance
+
 from riesz_condenser import (
     Condenser,
+    DiagonalPolicy,
+    DiscreteMeasure,
     DiscreteVectorMeasure,
     Plate,
+    PlateSpec,
+    PotentialField,
     ProblemSpec,
     RieszKernel,
+    Sphere,
+    build_condenser,
+    kernels,
     continuity_check,
     duality_check,
     kkt_check,
@@ -26,7 +35,11 @@ def count_assemblies(monkeypatch):
     """Count condenser_matrix calls made through any package module."""
     from riesz_condenser import measures
 
-    original = measures.condenser_matrix
+    return count_calls(monkeypatch, measures.condenser_matrix)
+
+
+def count_calls(monkeypatch, original):
+    """Count calls of one package function made through any package module."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -90,6 +103,43 @@ def test_kkt_check_zero_probes(small_solved):
     assert check.probe_min_gain == 0.0
 
 
+def test_kkt_check_assembles_once(small_solved, monkeypatch):
+    cond, problem, report = small_solved
+    calls = count_assemblies(monkeypatch)
+    kkt_check(cond, problem, report.minimizer, K23)
+    assert len(calls) == 1
+
+
+def assert_kkt_check_reproduces_the_solve(cond, problem, kernel, report):
+    check = kkt_check(cond, problem, report.minimizer, kernel)
+    assert check.levels == report.multipliers
+    assert check.max_violation == report.kkt_max_violation
+
+
+def test_kkt_check_levels_equal_the_solve_exactly_on_oracle_instances():
+    # No oracle instance has an infinite field value, where the solve caps
+    # the excluded nodes at zero and kkt_check keeps the given caps.
+    rng = np.random.default_rng(2024)
+    for _ in range(24):
+        kernel, cond, problem = random_instance(rng)
+        report = solve_constrained(cond, problem, kernel, DiagonalPolicy.nearest_neighbor())
+        assert_kkt_check_reproduces_the_solve(cond, problem, kernel, report)
+
+
+def test_kkt_check_levels_equal_the_solve_exactly_under_a_potential_field():
+    cond = build_condenser(
+        [
+            PlateSpec(Sphere(ORIGIN, 1.0), 1, 300),
+            PlateSpec(Sphere(ORIGIN, 2.0), -1, 300),
+        ],
+        7,
+    )
+    source = DiscreteMeasure(np.array([[0.0, 0.0, 3.0]]), np.array([0.4]))
+    problem = ProblemSpec(targets=(1.0, 1.0), field=PotentialField(source))
+    report = solve_unconstrained(cond, problem, K23)
+    assert_kkt_check_reproduces_the_solve(cond, problem, K23, report)
+
+
 def test_uniqueness_check(small_solved):
     cond, _, report = small_solved
     same = uniqueness_check(cond, report.minimizer, report.minimizer, K23)
@@ -117,6 +167,15 @@ def test_duality_check_on_sphere():
     assert report.kkt.passed
     assert report.energy_rel_gap <= 1e-3
     assert report.theta_mass_error <= 1e-6
+
+
+def test_duality_check_assembles_once(monkeypatch):
+    points = sample_sphere(ORIGIN, 1.0, 100, 5)
+    assemblies = count_assemblies(monkeypatch)
+    kernel_matrices = count_calls(monkeypatch, kernels.kernel_matrix)
+    assert duality_check(points, np.full(100, 2.0 / 100), K23).passed
+    assert len(assemblies) == 1
+    assert len(kernel_matrices) == 1
 
 
 def test_duality_check_validation():
