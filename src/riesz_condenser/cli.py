@@ -206,7 +206,12 @@ def _cmd_capacity(args) -> int:
         if ref is not None:
             print(f"reference {ref!r}")
             print(f"rel_error {abs(result.value - ref) / ref:.6e}")
-    return 0 if result.report.converged else 3
+    report = result.report
+    print(f"converged {report.converged} after {report.iterations} iterations")
+    print(f"stop_reason {report.stop_reason}")
+    if report.message:
+        print(report.message, file=sys.stderr)
+    return 0 if report.converged else 3
 
 
 def _cmd_balayage(args) -> int:

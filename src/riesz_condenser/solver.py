@@ -67,9 +67,10 @@ class SolveOptions:
 
     Convergence is declared when the projected gradient residual falls
     under grad_tol relative to the gradient scale. At grad_tol=1e-9, 34 of
-    36 tiny oracle instances converge (measured); the other two stall at 2.0
-    and 2.7 times the bar. A stall stops the solve at once with stop_reason
-    "stalled" and converged False; it does not run on to max_iters.
+    36 tiny oracle instances converge under armijo (measured), the other two
+    stalling at 2.2 and 2.4 times the bar; 31 of 36 converge under lipschitz.
+    A stall stops the solve at once with stop_reason "stalled" and converged
+    False; it does not run on to max_iters.
     """
 
     max_iters: int = 2000
@@ -145,10 +146,16 @@ def project_capped_simplex(
 ) -> NDArray:
     """Euclidean projection onto {y : 0 <= y <= caps, gauge . y = target}.
 
-    Solved by monotone bisection on the shift multiplier; the result's
-    gauge mass matches the target to one part in 1e12 except in the exact
-    boundary case where the caps barely carry the target, which returns
-    the caps themselves.
+    y = clip(x - t * gauge, 0, caps) for the shift t where the mass
+    m(t) = gauge . y meets the target; m is nonincreasing and piecewise
+    linear with slope -sum(gauge**2) over the free nodes. A safeguarded
+    Newton method (Cominetti, Mascarenhas & Silva 2014) finds t inside the
+    bracket [min((x - c') / gauge), max(x / gauge)], c' = caps where finite
+    and target / gauge elsewhere, bisecting when a step leaves it or the
+    slope is 0. It stops only where no float step changes t: an exact mass
+    match, a Newton step that leaves t as it is, or a midpoint equal to an
+    end, so y matches an exact breakpoint search to rounding with no mass
+    tolerance. Caps that barely carry the target come back as they are.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -173,37 +180,30 @@ def project_capped_simplex(
     if total <= target * (1.0 + 1e-12):
         return caps.copy()
 
-    def mass(t: float) -> float:
-        return float(gauge @ np.clip(x - t * gauge, 0.0, caps))
-
     hi = float(np.max(x / gauge))
-    finite = np.isfinite(caps)
-    if finite.all():
-        lo = float(np.min((x - caps) / gauge))
-    else:
-        lo = hi - 1.0
-        while mass(lo) < target:
-            lo = hi - 2.0 * (hi - lo)
+    lo = float(np.min((x - np.where(np.isfinite(caps), caps, target / gauge)) / gauge))
+    gg = gauge * gauge
+    t = min(max((float(gauge @ x) - target) / float(gg.sum()), lo), hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = mass(mid)
-        if m >= target:
-            lo = mid
+        v = x - t * gauge
+        y = np.clip(v, 0.0, caps)
+        r = float(gauge @ y) - target
+        if r == 0.0:
+            break
+        if r > 0.0:
+            lo = t
         else:
-            hi = mid
-        if abs(m - target) <= 1e-13 * target:
+            hi = t
+        slope = float(gg[(v > 0.0) & (v < caps)].sum())
+        # NaN at zero slope fails the bracket test below and so bisects.
+        step = t + r / slope if slope > 0.0 else np.nan
+        if step == t:
             break
-        if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-            break
-    t = 0.5 * (lo + hi)
-    y = np.clip(x - t * gauge, 0.0, caps)
-    # One exact Newton correction on the free set tightens the mass match.
-    free = (y > 0.0) & (y < caps)
-    slope = float(gauge[free] @ gauge[free])
-    if slope > 0.0:
-        y2 = np.clip(x - (t + (float(gauge @ y) - target) / slope) * gauge, 0.0, caps)
-        if abs(float(gauge @ y2) - target) <= abs(float(gauge @ y) - target):
-            y = y2
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if step == lo or step == hi:
+                break
+        t = step
     return y
 
 

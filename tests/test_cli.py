@@ -139,6 +139,14 @@ def test_capacity_sphere_with_reference(capsys):
     assert "rel_error" in out
 
 
+def test_capacity_nonconvergence_says_why(capsys):
+    assert main(["capacity", "--nodes", "200", "--max-iters", "3"]) == 3
+    captured = capsys.readouterr()
+    assert "converged False after 3 iterations" in captured.out
+    assert "stop_reason max_iters" in captured.out
+    assert "max_iters=3" in captured.err
+
+
 def test_capacity_point_cloud(tmp_path, capsys):
     pts = tmp_path / "cloud.txt"
     rng = np.random.default_rng(3)

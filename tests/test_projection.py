@@ -106,3 +106,95 @@ def test_projection_idempotent_and_nonexpansive(n, seed):
     again = project_capped_simplex(pa, caps, target=target)
     assert np.allclose(again, pa, atol=1e-10)
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) * (1.0 + 1e-9) + 1e-9
+
+
+def test_projection_bisects_through_a_zero_slope_gap():
+    # The unclipped start leaves both nodes at a bound (slope 0, mass short).
+    y = project_capped_simplex(np.array([10.0, -10.0]), caps=np.ones(2), target=1.5)
+    assert np.allclose(y, [1.0, 0.5], rtol=0.0, atol=1e-15)
+
+
+def test_projection_reaches_a_shift_far_below_the_start():
+    x = np.array([2500.0, -2500.0, 3.0])
+    y = project_capped_simplex(x, caps=np.ones(3), target=2.5)
+    assert np.allclose(y, [1.0, 0.5, 1.0], rtol=0.0, atol=1e-12)
+
+
+def breakpoint_projection(x, caps, gauge, target):
+    """Reference projection: locate the piece of the mass function that
+    meets the target among the sorted breakpoints, then solve it exactly."""
+
+    def mass(t):
+        return float(gauge @ np.clip(x - t * gauge, 0.0, caps))
+
+    finite = np.isfinite(caps)
+    points = np.unique(np.concatenate([x / gauge, ((x - caps) / gauge)[finite]]))
+    # mass is nonincreasing in t and 0 at points[-1]; find the last
+    # breakpoint whose mass still reaches the target.
+    lo, hi = -1, len(points) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mass(points[mid]) >= target:
+            lo = mid
+        else:
+            hi = mid
+    if lo >= 0 and mass(points[lo]) == target:
+        return np.clip(x - points[lo] * gauge, 0.0, caps)
+    inside = points[hi] - 1.0 if lo < 0 else 0.5 * (points[lo] + points[hi])
+    v = x - inside * gauge
+    free = (v > 0.0) & (v < caps)
+    at_cap = v >= caps
+    t = (gauge[free] @ x[free] + gauge[at_cap] @ caps[at_cap] - target) / (
+        gauge[free] @ gauge[free]
+    )
+    return np.clip(x - t * gauge, 0.0, caps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_projection_exact_at_scale_with_binding_caps(seed):
+    rng = np.random.default_rng(seed)
+    n = 2000
+    x = np.round(rng.normal(size=n), 1)  # rounding makes many ties
+    gauge = rng.uniform(0.5, 2.0, size=n)
+    kind = rng.integers(3, size=n)
+    finite_caps = rng.uniform(0.0, 0.3, n)
+    caps = np.where(kind == 0, 0.0, np.where(kind == 1, finite_caps, np.inf))
+    target = 150.0
+    y = project_capped_simplex(x, caps, gauge, target)
+    ref = breakpoint_projection(x, caps, gauge, target)
+    assert np.max(np.abs(y - ref)) <= 1e-13 * max(float(np.max(np.abs(x))), target)
+    # The case mixes every kind of node: zero caps, caps that bind, free
+    # nodes under finite and infinite caps, and nodes pushed to 0.
+    finite = np.isfinite(caps) & (caps > 0.0)
+    assert (finite & (y == caps)).sum() > 100
+    assert (finite & (y > 0.0) & (y < caps)).any()
+    assert (np.isinf(caps) & (y > 0.0)).sum() > 100
+    assert (np.isinf(caps) & (y == 0.0)).sum() > 100
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=100_000),
+    rounded=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_projection_feasible_with_zero_and_infinite_caps(n, seed, rounded):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * rng.uniform(0.1, 1e3)
+    if rounded:
+        x = np.round(x)
+    target = float(rng.uniform(0.2, 3.0))
+    gauge = rng.uniform(0.3, 3.0, size=n)
+    kind = rng.integers(3, size=n)
+    finite_caps = rng.uniform(0.1, 1.0, n)
+    caps = np.where(kind == 0, 0.0, np.where(kind == 1, finite_caps, np.inf))
+    room = float(gauge @ caps)
+    if room == 0.0:
+        caps[-1] = np.inf
+    elif room < 1.2 * target:
+        caps *= 1.2 * target / room
+    y = project_capped_simplex(x, caps, gauge, target)
+    assert (y >= 0.0).all()
+    assert (y <= caps).all()
+    scale = max(target, float(gauge @ np.abs(x)))
+    assert abs(float(gauge @ y) - target) <= 1e-12 * scale
