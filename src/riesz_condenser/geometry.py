@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import cumulative_trapezoid
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from scipy.spatial.transform import Rotation
@@ -258,7 +257,11 @@ def sample_revolution_surface(
     grid = np.linspace(surface.x1_min, surface.x1_max, 4097)
     rho = surface.radius_at(grid)
     drho = -surface.r_exponent * grid ** (surface.r_exponent - 1.0) * rho
-    arclen = cumulative_trapezoid(np.sqrt(1.0 + drho * drho), grid, initial=0.0)
+    speed = np.sqrt(1.0 + drho * drho)
+    # The cumulative trapezoid rule, in scipy.integrate's order of operations.
+    arclen = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (speed[1:] + speed[:-1]) / 2.0))
+    )
     targets = (np.arange(count) + 0.5) / count * arclen[-1]
     x1 = np.interp(targets, arclen, grid)
     r = surface.radius_at(x1)

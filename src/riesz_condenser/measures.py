@@ -8,6 +8,7 @@ rather than through a near-singular kernel value.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,6 +318,19 @@ class ProblemSpec:
         return targets, caps, gauges
 
 
+#: The last matrix ``condenser_matrix`` built, as (weakref to the condenser,
+#: kernel, policy, matrix), or None. One slot, so the cache never keeps more
+#: than one N x N array alive.
+_last_matrix = None
+
+
+def _drop_last_matrix(ref: weakref.ref) -> None:
+    global _last_matrix
+    slot = _last_matrix
+    if slot is not None and slot[0] is ref:
+        _last_matrix = None
+
+
 def condenser_matrix(
     cond: Condenser,
     kernel: RieszKernel,
@@ -327,9 +341,30 @@ def condenser_matrix(
     Entry (p, q) is sign_i * sign_j * kernel(x_p, x_q) for nodes p on plate
     i and q on plate j; self-interactions and same-sign shared nodes follow
     the diagonal policy.
+
+    The result is read-only and shared: a repeat call on the same condenser
+    object, an equal kernel and an equal policy returns the same array, until
+    a matrix for another input is built or the condenser is garbage.
     """
+    global _last_matrix
     if policy is None:
         policy = DiagonalPolicy.zero()
+    # Read the slot once: a concurrent call can then only cause a miss.
+    slot = _last_matrix
+    if slot is not None and slot[0]() is cond and slot[1] == kernel and slot[2] == policy:
+        return slot[3]
+    # Let go of the old matrix, in the slot and in this frame, before
+    # building, so that the cache never keeps it alive next to the new one.
+    _last_matrix = slot = None
+    mat = _build_condenser_matrix(cond, kernel, policy)
+    mat.setflags(write=False)
+    _last_matrix = (weakref.ref(cond, _drop_last_matrix), kernel, policy, mat)
+    return mat
+
+
+def _build_condenser_matrix(
+    cond: Condenser, kernel: RieszKernel, policy: DiagonalPolicy
+) -> NDArray:
     if cond.dim != kernel.dim:
         raise KernelDomainError(
             f"condenser lives in R^{cond.dim}, kernel in R^{kernel.dim}"

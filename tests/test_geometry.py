@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import riesz_condenser
 from riesz_condenser import (
     Condenser,
     CondenserGeometryError,
@@ -150,6 +156,38 @@ def test_sample_revolution_surface_lies_on_profile():
     assert np.allclose(rho, surface.radius_at(x1), rtol=1e-12)
     again = sample_revolution_surface(surface, 200, 9)
     assert np.array_equal(pts, again)
+
+
+def test_sample_revolution_surface_matches_scipy_trapezoid_arc_length():
+    from scipy.integrate import cumulative_trapezoid
+
+    surface = RevolutionSurface(2.5, 1.0, 4.0)
+    count = 300
+    grid = np.linspace(surface.x1_min, surface.x1_max, 4097)
+    rho = surface.radius_at(grid)
+    drho = -surface.r_exponent * grid ** (surface.r_exponent - 1.0) * rho
+    arclen = cumulative_trapezoid(np.sqrt(1.0 + drho * drho), grid, initial=0.0)
+    x1 = np.interp((np.arange(count) + 0.5) / count * arclen[-1], arclen, grid)
+    assert np.array_equal(sample_revolution_surface(surface, count, 3)[:, 0], x1)
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(riesz_condenser.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import riesz_condenser, sys; print('scipy.integrate' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_plate_spec_validation():

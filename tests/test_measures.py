@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from riesz_condenser import (
     field_values,
     gauss_energy,
     kernel_matrix,
+    measures,
     mutual_energy,
     potential,
     resultant,
@@ -134,6 +138,58 @@ def test_condenser_matrix_dimension_mismatch():
     cond = two_plate_condenser()
     with pytest.raises(Exception):
         condenser_matrix(cond, RieszKernel(2.0, 4), NN)
+
+
+def test_condenser_matrix_repeat_call_returns_the_same_read_only_array():
+    cond = two_plate_condenser()
+    mat = condenser_matrix(cond, K23, NN)
+    assert condenser_matrix(cond, K23, NN) is mat
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda cond: (cond, RieszKernel(1.5, 3), NN),
+        lambda cond: (cond, K23, ZERO),
+        lambda cond: (Condenser(cond.plates), K23, NN),
+    ],
+    ids=["kernel", "policy", "equal condenser"],
+)
+def test_condenser_matrix_other_input_builds_afresh(change):
+    cond = two_plate_condenser()
+    first = condenser_matrix(cond, K23, NN)
+    args = change(cond)
+    mat = condenser_matrix(*args)
+    assert mat is not first
+    assert np.array_equal(mat, measures._build_condenser_matrix(*args))
+
+
+def test_condenser_matrix_is_freed_with_its_condenser():
+    cond = two_plate_condenser()
+    mat_ref = weakref.ref(condenser_matrix(cond, K23, NN))
+    assert mat_ref() is not None
+    del cond
+    gc.collect()
+    assert mat_ref() is None
+
+
+def test_condenser_matrix_frees_the_old_matrix_before_building(monkeypatch):
+    cond_a = two_plate_condenser()
+    cond_b = two_plate_condenser()
+    a_ref = weakref.ref(condenser_matrix(cond_a, K23, NN))
+    a_alive = []
+    original = measures.kernel_matrix
+
+    def recording(*args, **kwargs):
+        a_alive.append(a_ref() is not None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "kernel_matrix", recording)
+    condenser_matrix(cond_b, K23, NN)
+    assert a_alive and not a_alive[0]
 
 
 def test_vector_measure_validation():

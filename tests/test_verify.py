@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,44 @@ def test_continuity_check_validation():
         )
     with pytest.raises(ValueError):
         continuity_check(cond, capped, K23, mode="exact")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda cond, problem, mu: kkt_check(cond, problem, mu, K23),
+        lambda cond, problem, mu: uniqueness_check(cond, mu, mu, K23),
+        lambda cond, problem, mu: continuity_check(cond, problem, K23, levels=2),
+    ],
+    ids=["kkt_check", "uniqueness_check", "continuity_check"],
+)
+def test_check_after_a_solve_reuses_its_matrix(check, monkeypatch):
+    cond = Condenser([Plate(sample_sphere(ORIGIN, 1.0, 120, 2), 1)])
+    problem = ProblemSpec(targets=(1.0,), caps=(np.full(120, 1.05 / 120),))
+    report = solve_constrained(cond, problem, K23)
+    kernel_matrices = count_calls(monkeypatch, kernels.kernel_matrix)
+    check(cond, problem, report.minimizer)
+    assert kernel_matrices == []
+
+
+def test_kkt_check_after_a_solve_allocates_no_matrix():
+    cond = build_condenser(
+        [
+            PlateSpec(Sphere(ORIGIN, 1.0), 1, 1000),
+            PlateSpec(Sphere(ORIGIN, 2.0), -1, 1000),
+        ],
+        42,
+    )
+    problem = ProblemSpec(targets=(1.0, 1.0))
+    report = solve_unconstrained(cond, problem, K23)
+    tracemalloc.start()
+    try:
+        kkt_check(cond, problem, report.minimizer, K23)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 2000-node matrix alone is 32 MB.
+    assert peak < 2**20
 
 
 def test_kkt_check_on_capped_solve():
