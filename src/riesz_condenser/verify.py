@@ -4,9 +4,9 @@ and stability of the minimum under constraint refinement.
 A candidate minimizer is accepted when its weighted potential sits on the
 plate's equilibrium level wherever mass can move in either direction,
 stays above level wherever mass could still be added, below it wherever
-mass could be removed, and no random feasible competitor offers a
-first-order decrease. All thresholds are relative to the potential scale
-on the support.
+mass could be removed, and no feasible competitor offers a first-order
+decrease; the best competitor is found exactly, by one sort per plate. All
+thresholds are relative to the potential scale on the support.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .kernels import DiagonalPolicy, RieszKernel
 from .measures import (
     DiscreteMeasure,
     DiscreteVectorMeasure,
+    EnergyDegeneracyError,
     ProblemSpec,
     _energy_distance,
     condenser_matrix,
@@ -32,14 +33,18 @@ from .solver import (
     _plate_levels,
     _solve,
     _symv,
-    project_capped_simplex,
     solve_constrained,
 )
 
 
 @dataclass(eq=False)
 class KKTReport:
-    """Outcome of the variational check of one candidate vector measure."""
+    """Outcome of the variational check of one candidate vector measure.
+
+    ``min_gain`` is the least first-order energy change 2 w_pot . (nu - mu)
+    over feasible nu. Its negative, the Frank-Wolfe gap, bounds the energy
+    above the minimum only where the form is convex on the feasible set.
+    """
 
     passed: bool
     max_violation: float
@@ -47,8 +52,7 @@ class KKTReport:
     tol: float
     levels: tuple[float, ...]
     mass_errors: tuple[float, ...]
-    probe_min_gain: float
-    probe_count: int
+    min_gain: float
 
 
 @dataclass(eq=False)
@@ -74,7 +78,12 @@ class DualityReport:
 
 @dataclass(eq=False)
 class ContinuityReport:
-    """Behavior of the minimum along a shrinking chain of problems."""
+    """Behavior of the minimum along a shrinking chain of problems.
+
+    ``distances`` holds the energy distances between consecutive caps-mode
+    minimizers, nan where the form is indefinite on their difference;
+    ``passed`` does not read them.
+    """
 
     passed: bool
     values: tuple[float, ...]
@@ -91,21 +100,19 @@ def kkt_check(
     kernel: RieszKernel,
     policy: DiagonalPolicy | None = None,
     tol: float = 1e-2,
-    probes: int = 100,
-    seed: int = 0,
 ) -> KKTReport:
     """Check the first-order optimality of a feasible vector measure.
 
     The levels and the defect are computed as the solver computes its own.
-    ``probes`` random feasible competitors are drawn per plate mix from
-    Dirichlet weights and projected onto the constraint set; each must
-    fail to offer a first-order energy decrease beyond -tol * scale.
+    No feasible competitor may offer a first-order decrease beyond
+    -tol * scale; the best one is a fractional knapsack per plate (Dantzig
+    1957), found by one sort and no random numbers.
     """
     if policy is None:
         policy = DiagonalPolicy.nearest_neighbor()
     mu.validate_for(cond)
     asm = _assemble(cond, problem, kernel, policy)
-    return _kkt(asm, problem, mu, tol, probes, seed)
+    return _kkt(asm, problem, mu, tol)
 
 
 def _kkt(
@@ -113,31 +120,24 @@ def _kkt(
     problem: ProblemSpec,
     mu: DiscreteVectorMeasure,
     tol: float = 1e-2,
-    probes: int = 100,
-    seed: int = 0,
 ) -> KKTReport:
     """``kkt_check`` on an assembled problem, whose field is ``asm.lin_raw``."""
     targets, caps, gauges = problem.materialize(asm.cond)
     slices = asm.cond.node_slices()
     w_pot, levels, viol = _plate_levels(asm, mu.stacked(), caps, gauges, targets)
     mass_errors = [abs(float(g @ w) - a) for g, w, a in zip(gauges, mu.weights, targets)]
-    scale = 1.0
-    for sl, w, a in zip(slices, mu.weights, targets):
+    scale, min_gain = 1.0, 0.0
+    for sl, g, c, w, a in zip(slices, gauges, caps, mu.weights, targets):
         pot = np.abs(w_pot[sl][w > 1e-12 * a / len(w)])
         scale = max(scale, float(np.max(pot[np.isfinite(pot)], initial=0.0)))
-    rng = np.random.default_rng(seed)
-    gains = []
-    for _ in range(probes):
-        gain = 0.0
-        for i, sl in enumerate(slices):
-            d = rng.dirichlet(np.ones(sl.stop - sl.start)) / gauges[i]
-            d *= targets[i] / float(gauges[i] @ d)
-            nu = project_capped_simplex(d, caps[i], gauges[i], targets[i])
-            with np.errstate(invalid="ignore"):
-                step = w_pot[sl] * (nu - mu.weights[i])
-            gain += 2.0 * float(np.where(nu != mu.weights[i], step, 0.0).sum())
-        gains.append(gain)
-    min_gain = min(gains, default=0.0)
+        # Fractional knapsack: fill the nodes of least w_pot / gauge first.
+        order = np.argsort(w_pot[sl] / g, kind="stable")
+        room = (g * c)[order]
+        filled = np.concatenate(([0.0], np.cumsum(room)[:-1]))
+        nu = np.empty_like(w)
+        nu[order] = np.clip(a - filled, 0.0, room) / g[order]
+        moved = nu != w  # keeps +inf field nodes that stay empty out
+        min_gain += 2.0 * float(w_pot[sl][moved] @ (nu - w)[moved])
     mass_ok = all(err <= 1e-9 * a for err, a in zip(mass_errors, targets))
     passed = bool(mass_ok and viol <= tol * scale and min_gain >= -tol * scale)
     return KKTReport(
@@ -147,8 +147,7 @@ def _kkt(
         tol=tol,
         levels=tuple(levels),
         mass_errors=tuple(mass_errors),
-        probe_min_gain=float(min_gain),
-        probe_count=probes,
+        min_gain=min_gain,
     )
 
 
@@ -168,8 +167,8 @@ def uniqueness_check(
     w1, w2 = mu.stacked(), nu.stacked()
     mat = condenser_matrix(cond, kernel, policy)
     dist = _energy_distance(mat, w1 - w2)
-    e1 = float(w1 @ mat @ w1)
-    e2 = float(w2 @ mat @ w2)
+    e1 = float(w1 @ _symv(mat, w1))
+    e2 = float(w2 @ _symv(mat, w2))
     scale = max(1.0, np.sqrt(abs(e1)), np.sqrt(abs(e2)))
     return UniquenessReport(passed=bool(dist <= tol * scale), distance=dist, scale=scale)
 
@@ -233,6 +232,14 @@ def duality_check(
     )
 
 
+def _chain_distance(mat: NDArray, diff: NDArray) -> float:
+    """Energy distance of ``diff``, or nan where the form is indefinite on it."""
+    try:
+        return _energy_distance(mat, diff)
+    except EnergyDegeneracyError:
+        return float("nan")
+
+
 def continuity_check(
     cond: Condenser,
     problem: ProblemSpec,
@@ -285,7 +292,7 @@ def continuity_check(
             minimizers.append(rep.minimizer.stacked())
         limit_rep = _solve(asm, problem, options)
         distances = tuple(
-            _energy_distance(asm.mat, a - b) for a, b in zip(minimizers, minimizers[1:])
+            _chain_distance(asm.mat, a - b) for a, b in zip(minimizers, minimizers[1:])
         )
     elif mode == "nodes":
         if extra_nodes is None or len(extra_nodes) != len(cond):

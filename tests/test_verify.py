@@ -4,21 +4,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle_utils import random_instance
+from oracle_utils import oracle_energy, random_instance
+from scipy.optimize import linprog
 
 from riesz_condenser import (
     Condenser,
     DiagonalPolicy,
     DiscreteMeasure,
     DiscreteVectorMeasure,
+    EnergyDegeneracyError,
     Plate,
     PlateSpec,
     PotentialField,
     ProblemSpec,
     RieszKernel,
+    SolveOptions,
     Sphere,
     build_condenser,
+    capacity,
     kernels,
+    project_capped_simplex,
+    semimetric,
+    solver,
+    verify,
     continuity_check,
     duality_check,
     kkt_check,
@@ -76,7 +84,7 @@ def test_kkt_check_accepts_solved(small_solved):
     check = kkt_check(cond, problem, report.minimizer, K23)
     assert check.passed
     assert check.max_violation <= check.tol * check.scale
-    assert check.probe_min_gain >= -check.tol * check.scale
+    assert check.min_gain >= -check.tol * check.scale
     assert check.levels[0] == pytest.approx(report.multipliers[0], rel=1e-6)
     assert max(check.mass_errors) <= 1e-9
 
@@ -97,11 +105,78 @@ def test_kkt_check_rejects_wrong_mass(small_solved):
     assert max(check.mass_errors) > 1e-9
 
 
-def test_kkt_check_zero_probes(small_solved):
+def test_kkt_check_draws_no_random_numbers(small_solved, monkeypatch):
     cond, problem, report = small_solved
-    check = kkt_check(cond, problem, report.minimizer, K23, probes=0)
-    assert check.probe_count == 0
-    assert check.probe_min_gain == 0.0
+    first = kkt_check(cond, problem, report.minimizer, K23)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("kkt_check drew random numbers")
+
+    monkeypatch.setattr(verify.np.random, "default_rng", no_rng)
+    again = kkt_check(cond, problem, report.minimizer, K23)
+    assert again.passed
+    assert again.min_gain == first.min_gain
+    assert again.levels == first.levels
+
+
+def random_plates(rng, sizes):
+    """Positive plates of the given sizes with a random exactly symmetric
+    matrix, field, targets, gauges and caps (zero, finite and infinite)
+    that still carry each target, and a feasible candidate."""
+    cond = Condenser([Plate(rng.normal(size=(n, 3)), 1) for n in sizes])
+    half = rng.normal(size=(cond.total_nodes,) * 2)
+    mat = np.ascontiguousarray(half + half.T)
+    lin = rng.normal(size=cond.total_nodes)
+    targets, caps, gauges, weights = [], [], [], []
+    for n in sizes:
+        g = rng.uniform(0.3, 3.0, n)
+        a = float(rng.uniform(0.5, 2.0))
+        finite = rng.uniform(0.0, 3.0 * a, n) / (g * n)
+        c = np.choose(rng.integers(0, 3, n), [np.zeros(n), finite, np.full(n, np.inf)])
+        if g @ c < 1.5 * a:
+            c[rng.integers(n)] = np.inf
+        targets.append(a)
+        caps.append(c)
+        gauges.append(g)
+        weights.append(project_capped_simplex(rng.random(n), c, g, a))
+    problem = ProblemSpec(targets=tuple(targets), caps=tuple(caps), gauges=tuple(gauges))
+    asm = solver._Assembly(cond, mat, lin, [])
+    return asm, problem, DiscreteVectorMeasure(tuple(weights))
+
+
+def test_kkt_min_gain_is_the_linear_program_minimum():
+    rng = np.random.default_rng(12)
+    sizes = [[1], [50], [1, 50]] + [list(rng.integers(1, 51, rng.integers(1, 4))) for _ in range(30)]
+    for plate_sizes in sizes:
+        asm, problem, mu = random_plates(rng, plate_sizes)
+        check = verify._kkt(asm, problem, mu)
+        w_pot = asm.mat @ mu.stacked() + asm.lin_raw
+        targets, caps, gauges = problem.materialize(asm.cond)
+        a_eq = np.zeros((len(caps), asm.cond.total_nodes))
+        for row, sl, g in zip(a_eq, asm.cond.node_slices(), gauges):
+            row[sl] = g
+        bounds = [(0.0, c if np.isfinite(c) else None) for c in np.concatenate(caps)]
+        lp = linprog(2.0 * w_pot, A_eq=a_eq, b_eq=targets, bounds=bounds, method="highs")
+        assert lp.status == 0
+        exact = lp.fun - 2.0 * float(w_pot @ mu.stacked())
+        assert check.min_gain == pytest.approx(exact, abs=1e-12 * check.scale)
+
+
+@pytest.mark.parametrize("step_rule", ["armijo", "lipschitz"])
+def test_kkt_gap_bounds_the_energy_above_the_oracle_minimum(step_rule):
+    # The oracle instances are positive definite, so the Frank-Wolfe gap
+    # bounds the energy excess; the slack covers the rounding of the two
+    # energies (at most 6.8e-16 of |E| on these 72 solves).
+    options = SolveOptions(max_iters=2000, grad_tol=1e-9, step_rule=step_rule)
+    for seed, count in ((2024, 24), (123, 12)):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            kernel, cond, problem = random_instance(rng)
+            report = solve_constrained(cond, problem, kernel, DiagonalPolicy.nearest_neighbor(), options)
+            check = kkt_check(cond, problem, report.minimizer, kernel)
+            oracle_e = oracle_energy(kernel, cond, problem)
+            slack = 1e-14 * max(1.0, abs(oracle_e))
+            assert -slack <= report.energy - oracle_e <= -check.min_gain + slack
 
 
 def test_kkt_check_assembles_once(small_solved, monkeypatch):
@@ -208,6 +283,40 @@ def test_continuity_check_caps_mode_assembles_once(monkeypatch):
     calls = count_assemblies(monkeypatch)
     continuity_check(cond, problem, K23, levels=3)
     assert len(calls) == 1
+
+
+def test_continuity_check_reports_nan_where_the_chain_difference_is_indefinite():
+    # Four touching balls as in experiments.touching_balls, lattices rotated
+    # by the seed of draw 25 of a seed-0 touching-plates benchmark run:
+    # opposite-sign nodes near a tangency sit far closer than their spacing,
+    # and the form is indefinite on the difference of chain levels 2 and 3.
+    seed = int(np.random.default_rng([0, 25]).integers(2**31 - 1))
+    layout = (
+        ((0.0, 0.0, 0.0), 1.0, 1),
+        ((2.0, 0.0, 0.0), 1.0, -1),
+        ((3.0, 0.0, 0.0), 2.0, -1),
+        ((-2.0, 0.0, 0.0), 1.0, -1),
+    )
+    cond = build_condenser([PlateSpec(Sphere(c, r), sign, 500) for c, r, sign in layout], seed)
+    kernel = RieszKernel(1.5, 3)
+    options = SolveOptions(grad_tol=1e-6)
+    caps = tuple(
+        1.5 * capacity(kernel, p.points, options=options).report.minimizer.weights[0]
+        for p in cond.plates
+    )
+    problem = ProblemSpec(targets=(1.0,) * 4, caps=caps)
+    report = continuity_check(cond, problem, kernel, options=options, levels=3)
+    assert report.passed
+    assert np.isfinite(report.distances[0])
+    assert np.isnan(report.distances[1])
+    pair = []
+    for ell in (2, 3):
+        level = ProblemSpec(targets=problem.targets, caps=tuple(c * (1.0 + 2.0**-ell) for c in caps))
+        rep = solve_constrained(cond, level, kernel, options=options)
+        assert rep.energy == report.values[ell - 1]
+        pair.append(rep.minimizer)
+    with pytest.raises(EnergyDegeneracyError):
+        semimetric(cond, pair[0], pair[1], kernel)
 
 
 def test_continuity_check_nodes_mode():
